@@ -607,6 +607,11 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 	}
 
 	job := &inferJob{ctx: ctx, req: req, call: c, rt: rt}
+	// Open the admission span before the push: once queued, a worker
+	// may start the request's "serve" span, and sibling span IDs are
+	// deterministic only when they are created from one goroutine in a
+	// fixed order.
+	asp := c.sp.Child("admission", c.start)
 	evicted, perr := s.adm.push(job)
 	if perr != nil {
 		s.pool.release(rt)
@@ -621,14 +626,14 @@ func (s *InferenceServer) Submit(ctx context.Context, req InferRequest) <-chan I
 		case errors.Is(perr, ErrOverloaded):
 			s.opts.Recorder.AddShed()
 		}
-		s.admissionSpan(c, outcomeLabel(perr), "", -1)
+		s.endAdmission(c, asp, outcomeLabel(perr), "", -1)
 		s.deliver(c, InferOutcome{Err: perr})
 		return out
 	}
 	s.m.queue.Set(float64(s.adm.inSystem()))
 	s.m.queueEnqueue.Observe(float64(job.depthAtEnqueue))
 	s.m.admitWait.Observe(float64(job.queuedAhead))
-	s.admissionSpan(c, "admitted", rt.pd.name, job.queuedAhead)
+	s.endAdmission(c, asp, "admitted", rt.pd.name, job.queuedAhead)
 	if evicted != nil {
 		s.opts.Recorder.AddPreempted()
 		s.opts.Flight.Record(req.SubmitTime, flight.KindAdmission, "preempted", evicted.call.sig, 0, 0)
@@ -978,12 +983,18 @@ func hashSignature(s string) uint64 {
 // instantaneous on the simulated clock). queuedAhead is the request's
 // queue position at enqueue; negative means it never reached the queue.
 func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhead int) {
+	s.endAdmission(c, c.sp.Child("admission", c.start), verdict, dev, queuedAhead)
+}
+
+// endAdmission records the verdict on sp, an admission span already
+// opened under c's request span (nil with tracing off), and ends it.
+func (s *InferenceServer) endAdmission(c *call, sp *obs.Span, verdict, dev string, queuedAhead int) {
 	// Rejections feed the flight recorder even with tracing off: the
 	// ring is the always-on record, the trace the opt-in one.
 	if verdict != "admitted" {
 		s.opts.Flight.Record(c.start, flight.KindAdmission, verdict, c.sig, int64(queuedAhead), 0)
 	}
-	if c.sp == nil {
+	if sp == nil {
 		return
 	}
 	attrs := []obs.Attr{obs.Str("verdict", verdict)}
@@ -993,7 +1004,7 @@ func (s *InferenceServer) admissionSpan(c *call, verdict, dev string, queuedAhea
 	if queuedAhead >= 0 {
 		attrs = append(attrs, obs.Int("queuedAhead", int64(queuedAhead)))
 	}
-	sp := c.sp.Child("admission", c.start, attrs...)
+	sp.Set(attrs...)
 	sp.End(c.start)
 }
 

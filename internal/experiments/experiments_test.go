@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,13 +25,52 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
+// goldenTables is the behaviour lock: the SHA-256 of every experiment
+// table's String(), one "<hex digest>  <ID>" line per experiment.
+// String() leaves out the alloc-probe stamps, so the digests cover
+// exactly the deterministic rows and notes. A change that moves a table
+// must say so and why, and replace that table's line.
+const goldenTables = "testdata/tables.sha256"
+
+// readGoldenTables parses goldenTables into ID → hex digest.
+func readGoldenTables(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenTables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	digests := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		sum, id, ok := strings.Cut(sc.Text(), "  ")
+		if !ok || len(sum) != 2*sha256.Size {
+			t.Fatalf("%s: malformed line %q", goldenTables, sc.Text())
+		}
+		digests[id] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return digests
+}
+
 func TestAllExperimentsProduceTables(t *testing.T) {
 	skipUnderRace(t)
+	golden := readGoldenTables(t)
 	for _, exp := range All() {
 		tab, err := exp.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", exp.ID, err)
 		}
+		sum := sha256.Sum256([]byte(tab.String()))
+		switch want, ok := golden[exp.ID]; {
+		case !ok:
+			t.Errorf("%s: no digest in %s; add the line:\n%x  %s", exp.ID, goldenTables, sum, exp.ID)
+		case want != hex.EncodeToString(sum[:]):
+			t.Errorf("%s: table digest %x, locked %s; the table now reads:\n%s", exp.ID, sum, want, tab)
+		}
+		delete(golden, exp.ID)
 		if tab.ID != exp.ID {
 			t.Errorf("catalog ID %q != table ID %q", exp.ID, tab.ID)
 		}
@@ -45,6 +88,9 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 		if !strings.Contains(tab.String(), tab.ID) {
 			t.Errorf("%s: String() drops the ID", tab.ID)
 		}
+	}
+	for id := range golden {
+		t.Errorf("%s locks %q, which is no longer an experiment", goldenTables, id)
 	}
 }
 

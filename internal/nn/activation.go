@@ -8,7 +8,9 @@ import (
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask *tensor.Matrix // 1 where input > 0
+	out  tensor.Matrix
+	mask tensor.Matrix // 1 where input > 0
+	grad tensor.Matrix
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -16,9 +18,9 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(0, x).
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
+	out := x.CloneInto(&r.out)
 	if train {
-		r.mask = tensor.New(x.Rows, x.Cols)
+		tensor.Reuse(&r.mask, x.Rows, x.Cols)
 	}
 	for i, v := range out.Data {
 		if v > 0 {
@@ -27,6 +29,9 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			}
 		} else {
 			out.Data[i] = 0
+			if train {
+				r.mask.Data[i] = 0
+			}
 		}
 	}
 	return out
@@ -34,8 +39,8 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward zeroes gradients where the input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := grad.Clone()
-	out.Hadamard(r.mask)
+	out := grad.CloneInto(&r.grad)
+	out.Hadamard(&r.mask)
 	return out
 }
 
@@ -51,7 +56,8 @@ func (r *ReLU) OutDim(inDim int) int { return inDim }
 // Tanh is the hyperbolic tangent activation, used by the recurrent
 // workload family.
 type Tanh struct {
-	lastOut *tensor.Matrix
+	out  tensor.Matrix // the last Forward's output, read by Backward
+	grad tensor.Matrix
 }
 
 // NewTanh returns a Tanh activation layer.
@@ -59,18 +65,15 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
+	out := x.CloneInto(&t.out)
 	out.Apply(math.Tanh)
-	if train {
-		t.lastOut = out
-	}
 	return out
 }
 
 // Backward multiplies by 1 - tanh².
 func (t *Tanh) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	out := grad.Clone()
-	for i, y := range t.lastOut.Data {
+	out := grad.CloneInto(&t.grad)
+	for i, y := range t.out.Data {
 		out.Data[i] *= 1 - y*y
 	}
 	return out

@@ -13,6 +13,11 @@ type Dense struct {
 	w, b    *Param
 
 	lastInput *tensor.Matrix // cached for backward
+
+	// Workspaces reused across mini-batches (see Layer): the output,
+	// the input gradient, and this batch's weight and bias gradients.
+	y, dx, dw tensor.Matrix
+	db        []float64
 }
 
 // NewDense creates a dense layer with He-normal initialised weights.
@@ -31,7 +36,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.lastInput = x
 	}
-	y := tensor.MatMul(x, d.w.W)
+	y := tensor.MatMulInto(&d.y, x, d.w.W)
 	y.AddRowVec(d.b.W.Data)
 	return y
 }
@@ -39,13 +44,20 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward accumulates dW = xᵀ grad and db = colsum(grad), returning
 // grad W ᵀ for the upstream layer.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	dw := tensor.MatMulAT(d.lastInput, grad)
-	d.w.Grad.Add(dw)
-	db := grad.ColSums()
-	for i, v := range db {
+	d.accumulateParamGrads(grad)
+	return tensor.MatMulBTInto(&d.dx, grad, d.w.W)
+}
+
+// accumulateParamGrads adds this batch's dW and db to the parameter
+// gradients without computing the input gradient. Each is summed from
+// +0 in its own workspace and then added to Grad, as the temporaries it
+// replaces were, so Grad rounds the same even when it was not zero.
+func (d *Dense) accumulateParamGrads(grad *tensor.Matrix) {
+	d.w.Grad.Add(tensor.MatMulATInto(&d.dw, d.lastInput, grad))
+	d.db = grad.ColSumsInto(d.db)
+	for i, v := range d.db {
 		d.b.Grad.Data[i] += v
 	}
-	return tensor.MatMulBT(grad, d.w.W)
 }
 
 // Params returns the weight and bias parameters.

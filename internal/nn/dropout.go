@@ -14,7 +14,10 @@ import (
 type Dropout struct {
 	rate float64
 	rng  *sim.RNG
-	mask *tensor.Matrix
+
+	// Workspaces reused across mini-batches (see Layer). mask stays
+	// empty until the first training Forward.
+	mask, out, grad tensor.Matrix
 }
 
 // NewDropout creates a dropout layer. Rate must be in [0, 1).
@@ -31,13 +34,14 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		return x
 	}
 	keep := 1 - d.rate
-	d.mask = tensor.New(x.Rows, x.Cols)
-	out := x.Clone()
+	tensor.Reuse(&d.mask, x.Rows, x.Cols)
+	out := x.CloneInto(&d.out)
 	for i := range out.Data {
 		if d.rng.Float64() < keep {
 			d.mask.Data[i] = 1 / keep
 			out.Data[i] *= 1 / keep
 		} else {
+			d.mask.Data[i] = 0
 			out.Data[i] = 0
 		}
 	}
@@ -46,11 +50,11 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward passes gradients through the same mask.
 func (d *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
+	if d.mask.Data == nil {
 		return grad
 	}
-	out := grad.Clone()
-	out.Hadamard(d.mask)
+	out := grad.CloneInto(&d.grad)
+	out.Hadamard(&d.mask)
 	return out
 }
 

@@ -35,7 +35,17 @@ func (p *Param) Count() int { return len(p.W.Data) }
 // Backward consumes the gradient of the loss w.r.t. this layer's output
 // and returns the gradient w.r.t. its input, accumulating parameter
 // gradients along the way. Backward must be called after Forward with
-// train=true on the same batch.
+// train=true on the same batch, with no other Forward of the layer in
+// between.
+//
+// Ownership: a matrix returned by Forward or Backward belongs to the
+// layer (or, for a layer that passes its argument through unchanged, to
+// whoever owns the argument). It stays valid until the layer's next
+// Forward or Backward, which may overwrite it: layers keep per-layer
+// workspaces and reuse them across mini-batches, so a training step
+// allocates nothing. Callers that need a result longer must Clone it.
+// A layer reads its inputs and never writes them, so one layer instance
+// must appear at most once in a network.
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix

@@ -10,6 +10,7 @@ import (
 // head. The zero value is not usable; construct with NewNetwork.
 type Network struct {
 	layers []Layer
+	params []*Param // every layer's parameters, gathered once
 }
 
 // NewNetwork builds a sequential network from layers. At least one layer
@@ -18,10 +19,15 @@ func NewNetwork(layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("nn: network needs at least one layer")
 	}
-	return &Network{layers: layers}, nil
+	n := &Network{layers: layers}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	return n, nil
 }
 
-// Forward runs the full stack and returns the logits.
+// Forward runs the full stack and returns the logits, which belong to
+// the last layer (see Layer).
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	h := x
 	for _, l := range n.layers {
@@ -30,26 +36,28 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return h
 }
 
-// Backward runs the stack in reverse from the loss gradient.
+// Backward runs the stack in reverse from the loss gradient. Nothing
+// consumes the first layer's input gradient, so a Dense first layer
+// only accumulates its parameter gradients.
 func (n *Network) Backward(grad *tensor.Matrix) {
 	g := grad
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
+	}
+	if d, ok := n.layers[0].(*Dense); ok {
+		d.accumulateParamGrads(g)
+	} else {
+		n.layers[0].Backward(g)
 	}
 }
 
-// Params returns every trainable parameter in the network.
-func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns every trainable parameter in the network. The slice is
+// shared and must not be modified.
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears all parameter gradients.
 func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
+	for _, p := range n.params {
 		p.ZeroGrad()
 	}
 }

@@ -56,6 +56,11 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 	for i := range order {
 		order[i] = i
 	}
+	// The step's buffers are reused across mini-batches, as the layers
+	// reuse theirs, so a step allocates nothing.
+	params := net.Params()
+	var bx, lossGrad tensor.Matrix
+	by := make([]int, min(cfg.BatchSize, n))
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle && rng != nil {
@@ -73,16 +78,16 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 			if end > n {
 				end = n
 			}
-			bx, by := gatherBatch(x, labels, order[start:end])
+			batch, batchLabels := gatherBatch(&bx, by, x, labels, order[start:end])
 
 			net.ZeroGrad()
-			logits := net.Forward(bx, true)
-			loss, grad, err := SoftmaxCrossEntropy(logits, by)
+			logits := net.Forward(batch, true)
+			loss, grad, err := softmaxCrossEntropy(&lossGrad, logits, batchLabels)
 			if err != nil {
 				return stats, err
 			}
 			net.Backward(grad)
-			opt.Step(net.Params())
+			opt.Step(params)
 
 			epochLoss += loss
 			batches++
@@ -97,10 +102,11 @@ func Train(net *Network, x *tensor.Matrix, labels []int, cfg TrainConfig, rng *s
 	return stats, nil
 }
 
-// gatherBatch copies the selected rows into a contiguous batch.
-func gatherBatch(x *tensor.Matrix, labels []int, idx []int) (*tensor.Matrix, []int) {
-	bx := tensor.New(len(idx), x.Cols)
-	by := make([]int, len(idx))
+// gatherBatch copies the selected rows into a contiguous batch, held in
+// bx (reshaped by tensor.Reuse) and the first len(idx) entries of by.
+func gatherBatch(bx *tensor.Matrix, by []int, x *tensor.Matrix, labels []int, idx []int) (*tensor.Matrix, []int) {
+	bx = tensor.Reuse(bx, len(idx), x.Cols)
+	by = by[:len(idx)]
 	for i, src := range idx {
 		copy(bx.Row(i), x.Row(src))
 		by[i] = labels[src]
